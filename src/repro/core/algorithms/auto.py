@@ -66,6 +66,12 @@ class AutoPredict(BroadcastAlgorithm):
         best_schedule.algorithm = f"{self.name}[{best_name}]"
         return best_schedule
 
+    def schedule_depends_on_sizes(self, problem: BroadcastProblem) -> bool:
+        # The predicted winner, and so the whole schedule, changes with
+        # the size table even when every portfolio member's structure
+        # does not.
+        return True
+
     def chosen_for(self, problem: BroadcastProblem) -> str:
         """The portfolio member the model picks for ``problem``."""
         return self.build_schedule(problem).algorithm.split("[", 1)[1][:-1]

@@ -46,7 +46,8 @@ class BroadcastAlgorithm(ABC):
         structure across message-size tables.  Algorithms that shape
         the schedule itself by byte counts — segmenting, pipelining —
         must return ``True`` so their plans are cached per size table
-        (the pipelined ``MPI_AllGather`` overrides this).
+        (the pipelined ``MPI_AllGather`` and ``Auto_Predict``, whose
+        chosen member depends on sizes, override this).
         """
         return False
 

@@ -36,10 +36,6 @@ from repro.mpsim.comm import Comm
 
 __all__ = ["ScheduleExecutor"]
 
-#: Backwards-compatible alias; the plan type now lives with the
-#: schedule IR (see :data:`repro.core.schedule.RoundPlan`).
-_RoundPlan = RoundPlan
-
 
 class ScheduleExecutor:
     """Compiles a :class:`Schedule` into per-rank SPMD programs.
@@ -63,9 +59,8 @@ class ScheduleExecutor:
         #: stalled by injected faults leave their entry at whatever
         #: subset they had actually combined when the run ended.
         self.holdings: List[Optional[Set[int]]] = [None] * p
-        # Shared lowering: the fastpath evaluator consumes the same
-        # per-rank round plans, so both executors issue operations in
-        # provably identical order.
+        # The reference lowering; the fast path lowers the same rounds
+        # independently and a test pins the two issue orders equal.
         self._plan: List[List[RoundPlan]] = schedule.lowered()
 
     def program(self, comm: Comm) -> Generator[Any, Any, frozenset]:

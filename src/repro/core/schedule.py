@@ -37,7 +37,7 @@ __all__ = ["Transfer", "Round", "RoundPlan", "Schedule"]
 #: are ``(dst, msgset, nbytes)`` triples and recvs are source ranks.
 #: ``phase`` is the round's observability span name (see
 #: :meth:`Schedule.span`).  Produced by :meth:`Schedule.lowered` and
-#: consumed by both the generator executor and the fastpath evaluator.
+#: consumed by the generator executor.
 RoundPlan = Tuple[
     int, str, bool, bool, List[Tuple[int, FrozenSet[int], int]], List[int]
 ]
@@ -216,12 +216,13 @@ class Schedule:
         nbytes)`` send triples and the receive source ranks — everything
         an executor needs, with no remaining schedule bookkeeping.
 
-        Both consumers — the generator-based
-        :class:`~repro.core.executor.ScheduleExecutor` and the
-        :mod:`repro.fastpath` batch evaluator — lower through this one
-        method, so they are guaranteed to see identical round plans
-        (ordering included: sends and recvs appear in transfer order
-        within each round, which fixes the simulated issue order).
+        This is the event engine's lowering: the generator-based
+        :class:`~repro.core.executor.ScheduleExecutor` runs these plans,
+        and sends and recvs appear in transfer order within each round,
+        which fixes the simulated issue order.  The fast path lowers
+        ``rounds`` independently (:func:`repro.fastpath.lower_schedule`,
+        one numpy pass); ``tests/test_schedule_lowered.py`` pins the two
+        lowerings equal, so the event engine stays the reference.
         """
         p = self.problem.p
         plan: List[List[RoundPlan]] = [[] for _ in range(p)]

@@ -1,8 +1,7 @@
 """Lowering: a :class:`~repro.core.schedule.Schedule` as flat arrays.
 
-The lowering consumes the same :meth:`Schedule.lowered` per-rank round
-plans as the generator executor, then flattens them into a
-**structure-of-arrays** :class:`FastPlan`:
+The lowering reads ``schedule.rounds`` directly and builds a
+**structure-of-arrays** :class:`FastPlan` in one vectorized numpy pass:
 
 * parallel per-send int32/int64/float64 numpy arrays — source,
   destination, byte count, round — with every per-send cost the replay
@@ -18,6 +17,13 @@ plans as the generator executor, then flattens them into a
   structural arrays are shared and only the byte-dependent arrays are
   recomputed for a new size table (see :meth:`FastPlan.rebind_sizes`).
 
+The event engine's :class:`~repro.core.executor.ScheduleExecutor`
+lowers the same schedule independently, through
+:meth:`Schedule.lowered`.  ``tests/test_schedule_lowered.py`` pins the
+two lowerings equal across the algorithm registry, so the event == fast
+differential compares two independent lowerings rather than one shared
+one.
+
 Float discipline: every vectorized expression reproduces the scalar
 engine's evaluation order term by term (``(nbytes * t_mem_byte) *
 scale``, ``recv_overhead + copy``), and float64 elementwise ops are
@@ -32,7 +38,11 @@ receive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Dict, List, Tuple
+
+from repro.errors import AlgorithmError, ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.problem import BroadcastProblem
@@ -169,8 +179,8 @@ class FastPlan:
             raise ValueError(
                 "plan structure depends on message sizes; re-lower instead"
             )
-        send_nbytes = _csr_nbytes(
-            self.msg_members, self.msg_start, self.num_sends, problem
+        send_nbytes = _message_set_nbytes(
+            np, self.msg_members, self.msg_start, problem
         )
         send_ovh, recv_total, recv_copy = _size_costs(
             np,
@@ -207,23 +217,27 @@ class FastPlan:
         )
 
 
-def _csr_nbytes(msg_members, msg_start, num_sends: int, problem) -> Any:
-    """int64 byte counts per send from the CSR message sets.
+def _message_set_nbytes(np, msg_members, msg_start, problem) -> Any:
+    """int64 byte count per send: the sizes of its CSR message set, summed.
 
-    Integer sums are exact in any order, so the segmented reduction
-    equals the scalar ``sum(size_of(m) for m in msgset)`` bit-for-bit.
+    One gather from a dense per-rank size table and one segmented
+    ``np.add.reduceat``.  Integer sums are exact in any order, so this
+    equals the scalar ``problem.nbytes(msgset)`` bit-for-bit.  A member
+    that is not a source of ``problem`` raises the
+    :class:`~repro.errors.ConfigurationError` of ``problem.size_of``.
     """
-    import numpy as np
-
-    if num_sends == 0:
+    p = problem.p
+    if len(msg_start) == 1:
         return np.zeros(0, dtype=np.int64)
-    size_of = problem.size_of
-    member_sizes = np.fromiter(
-        (size_of(int(m)) for m in msg_members),
-        dtype=np.int64,
-        count=len(msg_members),
-    )
-    return np.add.reduceat(member_sizes, msg_start[:-1].astype(np.intp))
+    table = np.zeros(p, dtype=np.int64)  # 0 marks a non-source rank
+    table[list(problem.sources)] = list(map(problem.size_of, problem.sources))
+    if msg_members.min() >= 0 and msg_members.max() < p:
+        member_sizes = table[msg_members]
+        if member_sizes.all():
+            return np.add.reduceat(member_sizes, msg_start[:-1].astype(np.intp))
+    for member in msg_members.tolist():
+        problem.size_of(member)
+    raise AssertionError("unreachable: some member is not a source")
 
 
 def _size_costs(np, send_nbytes, send_round, round_send_ovh,
@@ -242,51 +256,89 @@ def _size_costs(np, send_nbytes, send_round, round_send_ovh,
 
 
 def lower_schedule(schedule: "Schedule") -> FastPlan:
-    """Lower ``schedule`` into a :class:`FastPlan`."""
+    """Lower ``schedule`` into a :class:`FastPlan` in one numpy pass.
+
+    Send ids follow the reference lowering's issue order — rank-major,
+    then round, then transfer order — and each rank's op stream holds,
+    per round, its sends, then its receives, then its send waits.  An
+    invalid (unvalidated) schedule raises what :meth:`Schedule.lowered`
+    raises for it.
+    """
     import numpy as np
 
     problem = schedule.problem
     params = problem.machine.params
     p = problem.p
-    plan = schedule.lowered()
+    rounds = schedule.rounds
+    num_rounds = len(rounds)
+    i32 = np.int32
+    i64 = np.int64
 
-    send_src: List[int] = []
-    send_dst: List[int] = []
-    send_nbytes: List[int] = []
-    send_round: List[int] = []
-    msg_members: List[int] = []
-    msg_start: List[int] = [0]
-    op_code: List[int] = []
-    op_arg: List[int] = []
-    op_aux: List[int] = []
-    op_start: List[int] = [0]
-    for rank in range(p):
-        for round_idx, _phase, _collective, _mpi, sends, recvs in plan[rank]:
-            first_sid = len(send_src)
-            for dst, msgset, nbytes in sends:
-                send_src.append(rank)
-                send_dst.append(dst)
-                send_nbytes.append(nbytes)
-                send_round.append(round_idx)
-                msg_members.extend(sorted(msgset))
-                msg_start.append(len(msg_members))
-                op_code.append(OP_SEND)
-                op_arg.append(len(send_src) - 1)
-                op_aux.append(0)
-            for src in recvs:
-                op_code.append(OP_RECV)
-                op_arg.append(src)
-                op_aux.append(round_idx)
-            for sid in range(first_sid, first_sid + len(sends)):
-                op_code.append(OP_WAIT)
-                op_arg.append(sid)
-                op_aux.append(0)
-        op_start.append(len(op_code))
+    # Gather: every transfer in round-major order; ``t`` indexes them.
+    transfers = list(chain.from_iterable(r.transfers for r in rounds))
+    n = len(transfers)
+    src = np.fromiter(map(attrgetter("src"), transfers), dtype=i64, count=n)
+    dst = np.fromiter(map(attrgetter("dst"), transfers), dtype=i64, count=n)
+    t_round = np.repeat(
+        np.arange(num_rounds, dtype=i64),
+        np.fromiter(map(len, rounds), dtype=i64, count=num_rounds),
+    )
+    if n and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= p):
+        schedule.lowered()  # raises IndexError for a rank >= p
+        raise AlgorithmError(f"transfer endpoint outside [0, {p})")
+
+    # Send ids: a stable sort on the sender keeps round-major transfer
+    # order within each rank.
+    order = np.argsort(src, kind="stable")
+    sid_of = np.empty(n, dtype=i64)
+    sid_of[order] = np.arange(n, dtype=i64)
+    send_src = src[order].astype(i32)
+    send_dst = dst[order].astype(i32)
+    send_round = t_round[order].astype(i32)
+
+    # Op streams: SEND at the sender, RECV at the receiver, WAIT at the
+    # sender, sorted by (rank, round, kind, transfer); kind is the opcode.
+    t_idx = np.arange(n, dtype=i64)
+    op_rank = np.concatenate((src, dst, src))
+    op_code = np.repeat(np.array((OP_SEND, OP_RECV, OP_WAIT), dtype=i64), n)
+    perm = np.lexsort(
+        (np.tile(t_idx, 3), op_code, np.tile(t_round, 3), op_rank)
+    )
+    op_arg = np.concatenate((sid_of, src, sid_of))[perm]
+    op_aux = np.concatenate((np.zeros(n, i64), t_round, np.zeros(n, i64)))[perm]
+    op_start = np.zeros(p + 1, dtype=i64)
+    np.cumsum(np.bincount(op_rank, minlength=p), out=op_start[1:])
+    inbox_base = np.zeros(p + 1, dtype=i64)
+    np.cumsum(np.bincount(dst, minlength=p), out=inbox_base[1:])
+
+    # Message-set CSR in send-id order, each segment sorted ascending:
+    # one lexsort moves every member into its send's segment and orders it.
+    msgsets = list(map(attrgetter("msgset"), transfers))
+    seg_len = np.fromiter(map(len, msgsets), dtype=i64, count=n)
+    members = np.fromiter(
+        chain.from_iterable(msgsets), dtype=i64, count=int(seg_len.sum())
+    )
+    members = members[np.lexsort((members, np.repeat(sid_of, seg_len)))]
+    msg_members = members.astype(i32)
+    msg_start = np.zeros(n + 1, dtype=i64)
+    np.cumsum(seg_len[order], out=msg_start[1:])
+    msg_start = msg_start.astype(i32)
+
+    # Byte counts: whole-message sums, then explicit segment sizes.
+    try:
+        csr_nbytes = _message_set_nbytes(np, msg_members, msg_start, problem)
+    except ConfigurationError:
+        schedule.lowered()  # a whole-message transfer raises KeyError first
+        raise
+    send_nbytes = csr_nbytes
+    overrides = list(map(attrgetter("nbytes_override"), transfers))
+    if overrides.count(None) < n:
+        segmented = [t for t, o in enumerate(overrides) if o is not None]
+        send_nbytes = csr_nbytes.copy()
+        send_nbytes[sid_of[segmented]] = [overrides[t] for t in segmented]
 
     # Per-round parameter tables (one scalar resolution per round), then
     # one vectorized gather + elementwise pass over all sends.
-    rounds = schedule.rounds
-    num_rounds = len(rounds)
     round_send_ovh = np.fromiter(
         (
             params.send_overhead(collective=r.collective, mpi=r.mpi)
@@ -308,60 +360,40 @@ def lower_schedule(schedule: "Schedule") -> FastPlan:
         dtype=np.float64,
         count=num_rounds,
     )
-    num_sends = len(send_src)
-
-    i32 = np.int32
-    send_src_a = np.asarray(send_src, dtype=i32)
-    send_dst_a = np.asarray(send_dst, dtype=i32)
-    send_round_a = np.asarray(send_round, dtype=i32)
-    send_nbytes_a = np.asarray(send_nbytes, dtype=np.int64)
-    msg_members_a = np.asarray(msg_members, dtype=i32)
-    msg_start_a = np.asarray(msg_start, dtype=i32)
-
-    # Inbox segment bases: capacity per rank = sends destined to it.
-    inbox_cap = np.zeros(p + 1, dtype=np.int64)
-    if num_sends:
-        np.add.at(inbox_cap, send_dst_a.astype(np.intp) + 1, 1)
-    inbox_base = np.cumsum(inbox_cap).astype(i32)
-
     send_ovh, recv_total, recv_copy = _size_costs(
         np,
-        send_nbytes_a,
-        send_round_a,
+        send_nbytes,
+        send_round,
         round_send_ovh,
         round_recv_ovh,
         round_mem_scale,
         params.t_mem_byte,
     )
 
-    # Size-reusability probe: the structure transfers to other size
-    # tables exactly when every send moves whole messages — i.e. its
-    # byte count is the sum of its message set under *this* problem's
-    # table.  Segmented transfers (nbytes_override) fail the probe.
-    csr_nbytes = _csr_nbytes(msg_members_a, msg_start_a, num_sends, problem)
-    size_reusable = bool(np.array_equal(send_nbytes_a, csr_nbytes))
-
     return FastPlan(
         p=p,
         num_rounds=num_rounds,
-        num_sends=num_sends,
-        send_src=send_src_a,
-        send_dst=send_dst_a,
-        send_round=send_round_a,
-        op_code=np.asarray(op_code, dtype=i32),
-        op_arg=np.asarray(op_arg, dtype=i32),
-        op_aux=np.asarray(op_aux, dtype=i32),
-        op_start=np.asarray(op_start, dtype=i32),
-        inbox_base=inbox_base,
-        msg_members=msg_members_a,
-        msg_start=msg_start_a,
+        num_sends=n,
+        send_src=send_src,
+        send_dst=send_dst,
+        send_round=send_round,
+        op_code=op_code[perm].astype(i32),
+        op_arg=op_arg.astype(i32),
+        op_aux=op_aux.astype(i32),
+        op_start=op_start.astype(i32),
+        inbox_base=inbox_base.astype(i32),
+        msg_members=msg_members,
+        msg_start=msg_start,
         round_send_ovh=round_send_ovh,
         round_recv_ovh=round_recv_ovh,
         round_mem_scale=round_mem_scale,
         t_mem_byte=params.t_mem_byte,
-        send_nbytes=send_nbytes_a,
+        send_nbytes=send_nbytes,
         send_ovh=send_ovh,
         recv_total=recv_total,
         recv_copy=recv_copy,
-        size_reusable=size_reusable,
+        # The structure transfers to other size tables exactly when
+        # every send moves whole messages: its byte count is the sum of
+        # its message set.  Segmented transfers (nbytes_override) fail.
+        size_reusable=bool(np.array_equal(send_nbytes, csr_nbytes)),
     )

@@ -21,8 +21,9 @@ then one cached structure serves every message length via
 :meth:`FastPlan.rebind_sizes` — bit-identical to fresh lowering.  Two
 guards keep this safe: algorithms whose *round structure* depends on
 sizes declare it (:meth:`BroadcastAlgorithm.schedule_depends_on_sizes`
-— the pipelined MPI_AllGather segments by length), and the lowering
-itself probes reusability per plan (:attr:`FastPlan.size_reusable`).
+— the pipelined MPI_AllGather segments by length, Auto_Predict picks
+its portfolio member by size), and the lowering itself probes
+reusability per plan (:attr:`FastPlan.size_reusable`).
 Either guard failing keys the entry by the full size signature instead.
 
 Machines without a canonical spec (ad-hoc topologies, overridden

@@ -23,6 +23,7 @@ import random
 import pytest
 
 import repro
+from repro.core.algorithms import ALGORITHMS as REGISTRY
 from repro.core.problem import BroadcastProblem
 from repro.core.runner import run_broadcast
 from repro.errors import ReproError
@@ -31,22 +32,11 @@ from repro.sweep import ResultCache, SweepExecutor, SweepSpec
 
 #: Pools the seeded sampler draws from.  Machines cover both wormhole
 #: meshes and store-and-forward tori plus the hypercube extension;
-#: algorithms include mesh-only families (exception parity on t3d).
+#: algorithms are the whole registry, mesh-only families included
+#: (exception parity on t3d).
 MACHINES = ("paragon:4x4", "paragon:8x8", "t3d:16", "t3d:32", "hypercube:16")
 DISTRIBUTIONS = ("E", "R", "Sq", "Dr", "C", "Rnd", "B")
-ALGORITHMS = (
-    "Br_Lin",
-    "Br_Ring",
-    "Br_xy_source",
-    "Br_xy_dim",
-    "2-Step",
-    "PersAlltoAll",
-    "MPI_AllGather",
-    "MPI_Alltoall",
-    "Naive_Independent",
-    "Part_Lin",
-    "Repos_Lin",
-)
+ALGORITHMS = tuple(sorted(alg.name for alg in REGISTRY.values()))
 
 
 def _blob(result) -> str:
@@ -155,6 +145,71 @@ def test_warm_plan_cache_replay_matches_event_engine():
         assert _blob(warm) == _blob(event)
         checked += 1
     assert checked == 8, "sampler starved the warm-replay check"
+
+
+#: (L, mixing step) pairs replayed in sequence on one warm plan-cache
+#: entry: uniform lengths first small then large (the order that
+#: exposed Auto_Predict serving a plan built for another length), then
+#: two mixed per-source tables.
+_WARM_SIZE_SEQUENCE = ((1, None), (20000, None), (512, None), (1024, 7), (64, 3))
+
+
+def _sized_problem(machine, sources, L, step):
+    sizes = None
+    if step is not None:
+        sizes = {r: 64 * (1 + (i * step) % 5) for i, r in enumerate(sources)}
+    return BroadcastProblem(
+        machine=machine, sources=sources, message_size=L, sizes=sizes
+    )
+
+
+@pytest.mark.parametrize("spec", ["paragon:3x5", "t3d:16"])
+@pytest.mark.parametrize("alg", ALGORITHMS)
+def test_warm_plan_cache_across_sizes_matches_event_engine(alg, spec):
+    """One (machine, algorithm, sources) entry replayed at many sizes.
+
+    Every point after the first hits the plan cache (or its sized
+    variant), so a plan built for one size table and served for
+    another shows up as a byte mismatch against the event engine.
+    """
+    from repro.fastpath import plancache
+
+    machine = machine_from_spec(spec)
+    sources = tuple(repro.get_distribution("B").generate(machine, 9))
+    plancache.clear()
+    for L, step in _WARM_SIZE_SEQUENCE:
+        problem = _sized_problem(machine, sources, L, step)
+        try:
+            event = run_broadcast(problem, alg, engine="event")
+        except ReproError as exc:
+            with pytest.raises(type(exc)):
+                run_broadcast(problem, alg, engine="fast")
+            continue
+        fast = run_broadcast(problem, alg, engine="fast")
+        assert _blob(fast) == _blob(event), (L, step)
+
+
+def test_auto_predict_warm_plan_cache_regression():
+    """Auto_Predict's choice depends on L, so its plans are keyed by size.
+
+    paragon:3x5, distribution B, s=9: L=1 picks Br_Lin and L=20000
+    picks Repos_xy_source.  A plan cache that reused the L=1 lowering
+    returned ``Auto_Predict[Br_Lin]`` at 6187.44 us for L=20000.
+    """
+    from repro.fastpath import plancache
+
+    machine = machine_from_spec("paragon:3x5")
+    sources = tuple(repro.get_distribution("B").generate(machine, 9))
+    plancache.clear()
+    for L, chosen in ((1, "Br_Lin"), (20000, "Repos_xy_source")):
+        problem = BroadcastProblem(
+            machine=machine, sources=sources, message_size=L
+        )
+        fast = run_broadcast(problem, "Auto_Predict", engine="fast")
+        event = run_broadcast(problem, "Auto_Predict", engine="event")
+        assert fast.algorithm == f"Auto_Predict[{chosen}]"
+        assert _blob(fast) == _blob(event)
+    assert fast.elapsed_us == pytest.approx(4921.64)
 
 
 def test_fast_engine_matches_event_on_nonuniform_sizes():
