@@ -31,9 +31,11 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
-from repro.core.structure import estimate_halving_time
+import numpy as np
+
+from repro.core.structure import estimate_halving_times
 from repro.distributions.diagonal import LeftDiagonalDistribution
 from repro.errors import DistributionError
 from repro.machines.machine import Machine
@@ -107,47 +109,55 @@ def best_line_positions(n: int, k: int) -> Tuple[int, ...]:
     """The best-scoring placement of ``k`` sources on ``n`` line slots.
 
     Exhaustive for small ``C(n, k)``; otherwise the best structured
-    candidate, refined by a bounded hill-climb for small ``n``.
+    candidate, refined by a bounded hill-climb for small ``n``.  Each
+    step scores its candidates in one :func:`estimate_halving_times`
+    pass; ties go to the first candidate in enumeration order.
     """
     if not 1 <= k <= n:
         raise DistributionError(f"need 1 <= k <= n, got k={k}, n={n}")
     if k == n:
         return tuple(range(n))
-
-    def score(positions: Sequence[int]) -> float:
-        return estimate_halving_time(n, positions)
-
-    if math.comb(n, k) <= _EXHAUSTIVE_LIMIT:
-        best = min(itertools.combinations(range(n), k), key=score)
-        return tuple(best)
-    best = min(_candidate_placements(n, k), key=score)
+    count = math.comb(n, k)
+    if count <= _EXHAUSTIVE_LIMIT:
+        combos = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(n), k)),
+            dtype=np.intp,
+            count=count * k,
+        ).reshape(count, k)
+        best = combos[int(np.argmin(estimate_halving_times(n, combos)))]
+        return tuple(int(x) for x in best)
+    candidates = _candidate_placements(n, k)
+    best = candidates[int(np.argmin(estimate_halving_times(n, candidates)))]
     if n <= 64:
-        best = _hill_climb(n, k, best, score)
+        best = _hill_climb(n, best)
     return tuple(sorted(best))
 
 
-def _hill_climb(n, k, start, score, max_rounds: int = 3):
-    """Single-swap local improvement, bounded to keep the search cheap."""
-    current = set(start)
-    best_score = score(tuple(sorted(current)))
+def _hill_climb(
+    n: int, start: Tuple[int, ...], max_rounds: int = 3
+) -> Tuple[int, ...]:
+    """Single-swap local improvement, bounded to keep the search cheap.
+
+    Each round scores every ``(src, dst)`` swap at once and takes the
+    first, in ``(src, dst)`` order, that beats the current score.
+    """
+    current = tuple(sorted(start))
+    best_score = float(estimate_halving_times(n, [current])[0])
     for _ in range(max_rounds):
-        improved = False
-        for src in sorted(current):
-            for dst in range(n):
-                if dst in current:
-                    continue
-                trial = tuple(sorted(current - {src} | {dst}))
-                trial_score = score(trial)
-                if trial_score < best_score - 1e-9:
-                    current = set(trial)
-                    best_score = trial_score
-                    improved = True
-                    break
-            if improved:
-                break
-        if not improved:
+        members = set(current)
+        trials = [
+            tuple(sorted(members - {src} | {dst}))
+            for src in current
+            for dst in range(n)
+            if dst not in members
+        ]
+        scores = estimate_halving_times(n, trials)
+        better = np.flatnonzero(scores < best_score - 1e-9)
+        if len(better) == 0:
             break
-    return tuple(sorted(current))
+        current = trials[int(better[0])]
+        best_score = float(scores[better[0]])
+    return current
 
 
 # -- machine-level generators --------------------------------------------

@@ -49,6 +49,7 @@ never pairwise numpy sums, which would differ in the last bits.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Tuple
 
@@ -56,7 +57,7 @@ from repro.errors import DeadlockError
 from repro.fastpath import kernel as _kernel_mod
 from repro.fastpath.lowering import FastPlan, lower_schedule
 from repro.metrics.report import MetricsReport
-from repro.network.wirestate import flatten_link_paths, wire_utilization_from
+from repro.network.wirestate import wire_utilization_from
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.schedule import Schedule
@@ -118,20 +119,36 @@ class PlanBinding:
 
 
 def bind_plan(plan: FastPlan, machine: "Machine", seed: int) -> PlanBinding:
-    """Resolve ``plan``'s link paths under ``machine``'s ``seed`` mapping."""
-    mapping = machine.build_mapping(seed)
-    node_of = mapping.node_of
-    nodes = [node_of(rank) for rank in range(plan.p)]
-    send_src = plan.send_src
-    send_dst = plan.send_dst
-    path_flat, path_start, hops = flatten_link_paths(
-        machine.topology,
-        [
-            (nodes[int(send_src[i])], nodes[int(send_dst[i])])
-            for i in range(plan.num_sends)
-        ],
+    """Resolve ``plan``'s link paths under ``machine``'s ``seed`` mapping.
+
+    Each distinct (src node, dst node) pair of the plan is routed once;
+    every send then shares its pair's memoized link-path tuple, so
+    ``path_flat`` is one C-level concatenation of those tuples in send
+    order.
+    """
+    import numpy as np
+
+    topology = machine.topology
+    n = topology.num_nodes
+    node_of = machine.build_mapping(seed).node_of
+    nodes = np.fromiter(
+        (node_of(rank) for rank in range(plan.p)), dtype=np.int64, count=plan.p
     )
-    return PlanBinding(path_flat=path_flat, path_start=path_start, hops=hops)
+    keys = nodes[plan.send_src] * n + nodes[plan.send_dst]
+    pair_keys, pair_of_send = np.unique(keys, return_inverse=True)
+    paths = topology.route_links_for_keys(pair_keys.tolist())
+    path_flat = list(
+        itertools.chain.from_iterable(map(paths.__getitem__, pair_of_send.tolist()))
+    )
+    pair_len = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
+    send_len = pair_len[pair_of_send]
+    path_start = np.zeros(len(send_len) + 1, dtype=np.int64)
+    np.cumsum(send_len, out=path_start[1:])
+    return PlanBinding(
+        path_flat=path_flat,
+        path_start=path_start.tolist(),
+        hops=(send_len - 2).astype(np.float64),
+    )
 
 
 def evaluate_plan(

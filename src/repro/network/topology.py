@@ -191,6 +191,21 @@ class Topology(ABC):
         cache[key] = path
         return path
 
+    def route_links_for_keys(self, keys: List[int]) -> List[Tuple[int, ...]]:
+        """:meth:`route_links` for many flat ``src * num_nodes + dst`` keys.
+
+        Memo hits resolve in one pass over the cache; misses (and
+        self-pairs) go through :meth:`route_links`, which fills the memo.
+        """
+        paths = list(map(self._route_cache.get, keys))
+        if None in paths:
+            n = self._num_nodes
+            route_links = self.route_links
+            for i, path in enumerate(paths):
+                if path is None:
+                    paths[i] = route_links(*divmod(keys[i], n))
+        return paths
+
     def _build_route(self, src: int, dst: int) -> Tuple[int, ...]:
         """Uncached route construction (the seed-code path, kept for
         differential testing against the memoized :meth:`route_links`)."""

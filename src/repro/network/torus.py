@@ -106,6 +106,13 @@ class Torus3D(Topology):
             nodes.append(self.node_at(dx, dy, z))
         return nodes
 
+    def distance(self, src: int, dst: int) -> int:
+        """Hop count of the route: the shorter ring distance per dimension."""
+        total = 0
+        for s, d, extent in zip(self.coords(src), self.coords(dst), self.shape):
+            total += min((d - s) % extent, (s - d) % extent)
+        return total
+
     @staticmethod
     def dims_for(p: int) -> Tuple[int, int, int]:
         """Near-cubic power-of-two factorisation used for T3D partitions.

@@ -21,13 +21,19 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro._version import __version__
 from repro.core.problem import BroadcastProblem
 from repro.errors import ConfigurationError
 from repro.faults import FaultSchedule
 from repro.machines import machine_from_spec
 
-__all__ = ["SweepPoint", "SweepSpec"]
+__all__ = ["SEMANTICS", "SweepPoint", "SweepSpec"]
+
+#: Identity of the simulation semantics, part of every sweep cache key.
+#: Change it with any change to simulated results, so cached entries of
+#: the old semantics are recomputed instead of served.  It is the sha256
+#: of ``tests/golden/simcore_golden.json``, and a test pins the two, so
+#: regenerating the goldens without changing it fails the suite.
+SEMANTICS = "0a1ccea58f6fadc2cf75e6143c1be1b524e8c09029012188f0bdeac9e2cfce36"
 
 
 @dataclass(frozen=True)
@@ -122,16 +128,16 @@ class SweepPoint:
     def payload(self) -> Dict[str, Any]:
         """Canonical JSON-compatible identity of this point.
 
-        Everything the result depends on is here — including the package
-        version, so recalibrated machine parameters in a future release
-        invalidate old cache entries instead of silently serving them.
+        Everything the result depends on is here — including
+        :data:`SEMANTICS`, so a change to simulated results invalidates
+        old cache entries instead of silently serving them.
         The ``faults`` key appears only on fault-injected points, so the
         keys (and cached entries) of fault-free points are unchanged
         from the pre-faults format.
         """
         data: Dict[str, Any] = {
             "schema": 1,
-            "version": __version__,
+            "semantics": SEMANTICS,
             "machine": self.machine,
             "distribution": self.distribution,
             "sources": list(self.sources),

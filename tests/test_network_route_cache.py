@@ -84,6 +84,19 @@ def test_large_topology_uses_bounded_cache(monkeypatch):
     assert mesh.route_links(0, 1) == mesh._build_route(0, 1)
 
 
+@pytest.mark.parametrize("cap", [8, 1 << 16])
+def test_route_links_for_keys_matches_route_links(monkeypatch, cap):
+    """Batch lookup: memo hits, misses, self-pairs and evictions alike."""
+    monkeypatch.setattr(topology_mod, "_ROUTE_CACHE_MAX", cap)
+    mesh = Mesh2D(6, 6)
+    n = mesh.num_nodes
+    pairs = [(0, 5), (7, 7), (35, 0), (0, 5), (12, 30), (3, 3), (30, 12)]
+    mesh.route_links(35, 0)  # one pair already memoized
+    paths = mesh.route_links_for_keys([src * n + dst for src, dst in pairs])
+    assert paths == [mesh._build_route(s, d) if s != d else () for s, d in pairs]
+    assert paths[0] is mesh.route_links(0, 5)
+
+
 def test_small_topology_precomputes_all_pairs():
     mesh = Mesh2D(4, 4)
     assert not mesh._route_cache_bounded

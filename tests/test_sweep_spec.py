@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from repro.machines import Machine, machine_from_spec, paragon, t3d
 from repro.machines.paragon import PARAGON_PARAMS
 from repro.network.linear import LinearArray
 from repro.sweep import SweepPoint, SweepSpec
+from repro.sweep.spec import SEMANTICS
 
 
 class TestMachineSpec:
@@ -166,6 +169,24 @@ class TestSweepPointRecover:
         clone = SweepPoint.from_payload(json.loads(json.dumps(point.payload())))
         assert clone == point
         assert clone.recover is True
+
+
+class TestSemanticsKey:
+    GOLDEN = Path(__file__).parent / "golden" / "simcore_golden.json"
+
+    def test_semantics_pinned_to_simcore_goldens(self):
+        # Regenerated goldens mean changed simulated results: change
+        # SEMANTICS with them so stale cache entries are not served.
+        digest = hashlib.sha256(self.GOLDEN.read_bytes()).hexdigest()
+        assert SEMANTICS == digest
+
+    def test_semantics_is_in_every_cache_key(self):
+        point = SweepPoint(
+            machine="paragon:4x4", sources=(0,), message_size=64,
+            algorithm="Br_Lin",
+        )
+        assert point.payload()["semantics"] == SEMANTICS
+        assert "version" not in point.payload()
 
 
 class TestSweepSpec:
