@@ -35,8 +35,6 @@ from repro.fastpath.evaluator import (
     PlanBinding,
     bind_plan,
     evaluate_plan,
-    evaluate_plan_many,
-    evaluate_schedule,
 )
 from repro.fastpath.kernel import kernel_mode, kernel_status
 from repro.fastpath.lowering import FastPlan, lower_schedule
@@ -50,9 +48,7 @@ __all__ = [
     "UnsupportedFastPathError",
     "bind_plan",
     "evaluate_plan",
-    "evaluate_plan_many",
     "evaluate_problem",
-    "evaluate_schedule",
     "kernel_mode",
     "kernel_status",
     "lower_schedule",

@@ -34,13 +34,15 @@ keys or result bytes — both modes produce the same bits.
 
 from __future__ import annotations
 
+import inspect
 import os
 import warnings
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
 from typing import Any, Callable, Dict, Optional
 
 __all__ = [
     "JIT_ENV_VAR",
+    "KERNEL_ARGS",
     "kernel_mode",
     "kernel_status",
     "get_kernel",
@@ -72,7 +74,6 @@ OP_WAIT = 2
 
 def replay_kernel(
     p,
-    num_rounds,
     # -- operation streams (structure of arrays) ------------------------
     op_code,
     op_arg,
@@ -82,7 +83,6 @@ def replay_kernel(
     send_src,
     send_dst,
     send_round,
-    send_nbytes,
     send_ovh,
     recv_total,
     recv_copy,
@@ -111,16 +111,11 @@ def replay_kernel(
     parked_round,
     completed,
     waiter,
-    # -- metrics accumulators (mutated; reduced by the caller) ------------
-    m_sends,
-    m_recvs,
-    m_bytes_sent,
-    m_bytes_recv,
+    # -- replay-dependent metrics accumulators (mutated) -----------------
     m_recv_wait,
     m_recv_wait_ct,
     m_link_wait,
     m_copy,
-    m_iter_ops,
     m_iter_last,
 ):
     """Replay the plan; returns the virtual completion time.
@@ -132,6 +127,15 @@ def replay_kernel(
     (``t + (finish - t)``, the wire-reservation max/accumulate order,
     the per-hop store-and-forward chain), and completions deliver to
     the receiver before resuming a waiting sender.
+
+    The most recently scheduled event waits in a carry slot instead of
+    the heap: scheduling another event pushes the carried one, and the
+    loop head takes the next event with ``heappushpop(heap, carry)`` —
+    push-then-pop in one call, which returns the carry untouched when
+    it is the earliest.  ``(time, seq)`` keys are unique, so the pop
+    order is the plain heap's.  The accumulators hold only what depends
+    on the replay; send/receive counts and byte totals are fixed by the
+    plan (:func:`repro.fastpath.evaluator.plan_counters`).
     """
     # Process-start events, one per rank at t=0 in rank order — already
     # a valid heap (equal times, ascending seq), and byte-identical to
@@ -139,12 +143,20 @@ def replay_kernel(
     heap = [(0.0, i, EV_START, i) for i in range(p)]
     seq = p
     now = 0.0
-    while len(heap) > 0:
-        item = heappop(heap)
+    carry = (0.0, 0, EV_START, 0)
+    has_carry = False
+    while has_carry or len(heap) > 0:
+        if has_carry:
+            item = heappushpop(heap, carry)
+            has_carry = False
+        else:
+            item = heappop(heap)
         now = item[0]
         code = item[2]
         arg = item[3]
         adv = -1  # rank to drive forward after this event, if any
+        # The carry slot is empty here, so the event handlers fill it
+        # directly; the rank drive below pushes an occupied slot first.
         if code == EV_COMPLETION:
             sid = arg
             completed[sid] = 1
@@ -155,7 +167,8 @@ def replay_kernel(
             if parked_src[dst] == send_src[sid] and parked_round[dst] == send_round[sid]:
                 parked_src[dst] = -1
                 matched[dst] = sid
-                heappush(heap, (now, seq, EV_RECV_GOT, dst))
+                carry = (now, seq, EV_RECV_GOT, dst)
+                has_carry = True
                 seq += 1
             else:
                 inbox_store[inbox_base[dst] + inbox_len[dst]] = sid
@@ -172,31 +185,26 @@ def replay_kernel(
             if total > 0.0:
                 # comm.recv: yield timeout(overhead + copy), then record.
                 pending_wait[rank] = wait
-                heappush(heap, (now + total, seq, EV_RECV_DONE, rank))
+                carry = (now + total, seq, EV_RECV_DONE, rank)
+                has_carry = True
                 seq += 1
             else:
-                m_recvs[rank] = m_recvs[rank] + 1
-                m_bytes_recv[rank] = m_bytes_recv[rank] + send_nbytes[sid]
                 m_recv_wait[rank] = m_recv_wait[rank] + wait
                 if wait > 0.0:
                     m_recv_wait_ct[rank] = m_recv_wait_ct[rank] + 1
                 m_copy[rank] = m_copy[rank] + recv_copy[sid]
                 it = send_round[sid]
-                m_iter_ops[rank * num_rounds + it] += 1
                 if now > m_iter_last[it]:
                     m_iter_last[it] = now
                 adv = rank
         elif code == EV_RECV_DONE:
             rank = arg
             sid = matched[rank]
-            m_recvs[rank] = m_recvs[rank] + 1
-            m_bytes_recv[rank] = m_bytes_recv[rank] + send_nbytes[sid]
             m_recv_wait[rank] = m_recv_wait[rank] + pending_wait[rank]
             if pending_wait[rank] > 0.0:
                 m_recv_wait_ct[rank] = m_recv_wait_ct[rank] + 1
             m_copy[rank] = m_copy[rank] + recv_copy[sid]
             it = send_round[sid]
-            m_iter_ops[rank * num_rounds + it] += 1
             if now > m_iter_last[it]:
                 m_iter_last[it] = now
             adv = rank
@@ -209,8 +217,7 @@ def replay_kernel(
                 arrive = t + route_setup
                 start = 0.0
                 first = True
-                for k in range(path_start[sid], path_start[sid + 1]):
-                    link = path_flat[k]
+                for link in path_flat[path_start[sid]:path_start[sid + 1]]:
                     if contention:
                         s0 = arrive if arrive >= free_at[link] else free_at[link]
                         f0 = s0 + pl
@@ -229,29 +236,27 @@ def replay_kernel(
                 # duration (the WireState.reserve_path arithmetic).
                 d = durations[sid]
                 start = t
-                for k in range(path_start[sid], path_start[sid + 1]):
-                    free = free_at[path_flat[k]]
+                links = path_flat[path_start[sid]:path_start[sid + 1]]
+                for link in links:
+                    free = free_at[link]
                     if free > start:
                         start = free
                 finish = start + d
-                for k in range(path_start[sid], path_start[sid + 1]):
-                    link = path_flat[k]
+                for link in links:
                     free_at[link] = finish
                     busy_time[link] = busy_time[link] + d
             else:
                 start = t
                 finish = t + durations[sid]
             src_r = send_src[sid]
-            m_sends[src_r] = m_sends[src_r] + 1
-            m_bytes_sent[src_r] = m_bytes_sent[src_r] + send_nbytes[sid]
             m_link_wait[src_r] = m_link_wait[src_r] + (start - t)
             it = send_round[sid]
-            m_iter_ops[src_r * num_rounds + it] += 1
             if t > m_iter_last[it]:
                 m_iter_last[it] = t
             # The engine schedules completion via succeed(delay=finish -
             # now), so the heap time is t + (finish - t) — kept verbatim.
-            heappush(heap, (t + (finish - t), seq, EV_COMPLETION, sid))
+            carry = (t + (finish - t), seq, EV_COMPLETION, sid)
+            has_carry = True
             seq += 1
             adv = src_r
         else:  # EV_START
@@ -276,7 +281,10 @@ def replay_kernel(
                         # comm.isend: yield timeout(overhead), issue on
                         # resume (the EV_SEND_ISSUE handler above).
                         op_ptr[rank] = i + 1
-                        heappush(heap, (t + ovh, seq, EV_SEND_ISSUE, sid))
+                        if has_carry:
+                            heappush(heap, carry)
+                        carry = (t + ovh, seq, EV_SEND_ISSUE, sid)
+                        has_carry = True
                         seq += 1
                         break
                     # Zero-overhead send: issue inline (same block as the
@@ -286,8 +294,7 @@ def replay_kernel(
                         arrive = t + route_setup
                         start = 0.0
                         first = True
-                        for k in range(path_start[sid], path_start[sid + 1]):
-                            link = path_flat[k]
+                        for link in path_flat[path_start[sid]:path_start[sid + 1]]:
                             if contention:
                                 s0 = arrive if arrive >= free_at[link] else free_at[link]
                                 f0 = s0 + pl
@@ -304,27 +311,27 @@ def replay_kernel(
                     elif contention:
                         d = durations[sid]
                         start = t
-                        for k in range(path_start[sid], path_start[sid + 1]):
-                            free = free_at[path_flat[k]]
+                        links = path_flat[path_start[sid]:path_start[sid + 1]]
+                        for link in links:
+                            free = free_at[link]
                             if free > start:
                                 start = free
                         finish = start + d
-                        for k in range(path_start[sid], path_start[sid + 1]):
-                            link = path_flat[k]
+                        for link in links:
                             free_at[link] = finish
                             busy_time[link] = busy_time[link] + d
                     else:
                         start = t
                         finish = t + durations[sid]
                     src_r = send_src[sid]
-                    m_sends[src_r] = m_sends[src_r] + 1
-                    m_bytes_sent[src_r] = m_bytes_sent[src_r] + send_nbytes[sid]
                     m_link_wait[src_r] = m_link_wait[src_r] + (start - t)
                     it = send_round[sid]
-                    m_iter_ops[src_r * num_rounds + it] += 1
                     if t > m_iter_last[it]:
                         m_iter_last[it] = t
-                    heappush(heap, (t + (finish - t), seq, EV_COMPLETION, sid))
+                    if has_carry:
+                        heappush(heap, carry)
+                    carry = (t + (finish - t), seq, EV_COMPLETION, sid)
+                    has_carry = True
                     seq += 1
                     i += 1
                 elif oc == OP_RECV:
@@ -350,7 +357,10 @@ def replay_kernel(
                         inbox_len[rank] = cnt - 1
                         # The Store claims the item and fires the getter
                         # at the current instant (one sequence number).
-                        heappush(heap, (t, seq, EV_RECV_GOT, rank))
+                        if has_carry:
+                            heappush(heap, carry)
+                        carry = (t, seq, EV_RECV_GOT, rank)
+                        has_carry = True
                         seq += 1
                     else:
                         parked_src[rank] = src
@@ -365,6 +375,10 @@ def replay_kernel(
                         op_ptr[rank] = i + 1
                         break
     return now
+
+
+#: :func:`replay_kernel`'s parameter names, in call order.
+KERNEL_ARGS = tuple(inspect.signature(replay_kernel).parameters)
 
 
 # -- mode resolution ---------------------------------------------------------
@@ -391,59 +405,55 @@ def _smoke_check(kernel: Callable[..., float]) -> None:
 
     Forces numba's type inference *now*, so an uncompilable kernel is
     detected once at activation (and downgraded with a warning) instead
-    of exploding mid-sweep.
+    of exploding mid-sweep.  The arguments are passed by
+    :data:`KERNEL_ARGS` name, so a signature change that misses this
+    list fails here with a ``KeyError``.
     """
     import numpy as np
 
     i32 = np.int32
-    i64 = np.int64
     f64 = np.float64
     empty_i = np.zeros(0, dtype=i32)
-    elapsed = kernel(
-        1,
-        1,
-        empty_i,
-        empty_i,
-        empty_i,
-        np.zeros(2, dtype=i32),
-        empty_i,
-        empty_i,
-        empty_i,
-        np.zeros(0, dtype=i64),
-        np.zeros(0, dtype=f64),
-        np.zeros(0, dtype=f64),
-        np.zeros(0, dtype=f64),
-        np.zeros(0, dtype=f64),
-        empty_i,
-        np.zeros(1, dtype=i32),
-        False,
-        True,
-        0.0,
-        np.zeros(1, dtype=f64),
-        np.zeros(1, dtype=f64),
-        empty_i,
-        np.zeros(2, dtype=i32),
-        np.zeros(1, dtype=i32),
-        np.zeros(1, dtype=i32),
-        np.zeros(1, dtype=np.uint8),
-        np.zeros(1, dtype=f64),
-        np.full(1, -1, dtype=i32),
-        np.zeros(1, dtype=f64),
-        np.full(1, -1, dtype=i32),
-        np.full(1, -1, dtype=i32),
-        np.zeros(0, dtype=np.uint8),
-        np.zeros(0, dtype=i32),
-        np.zeros(1, dtype=i64),
-        np.zeros(1, dtype=i64),
-        np.zeros(1, dtype=i64),
-        np.zeros(1, dtype=i64),
-        np.zeros(1, dtype=f64),
-        np.zeros(1, dtype=i64),
-        np.zeros(1, dtype=f64),
-        np.zeros(1, dtype=f64),
-        np.zeros(1, dtype=i64),
-        np.full(1, -1.0, dtype=f64),
+    empty_f = np.zeros(0, dtype=f64)
+    args = dict(
+        p=1,
+        op_code=empty_i,
+        op_arg=empty_i,
+        op_aux=empty_i,
+        op_start=np.zeros(2, dtype=i32),
+        send_src=empty_i,
+        send_dst=empty_i,
+        send_round=empty_i,
+        send_ovh=empty_f,
+        recv_total=empty_f,
+        recv_copy=empty_f,
+        durations=empty_f,
+        path_flat=empty_i,
+        path_start=np.zeros(1, dtype=i32),
+        store_forward=False,
+        contention=True,
+        route_setup=0.0,
+        free_at=np.zeros(1, dtype=f64),
+        busy_time=np.zeros(1, dtype=f64),
+        inbox_store=empty_i,
+        inbox_base=np.zeros(2, dtype=i32),
+        inbox_len=np.zeros(1, dtype=i32),
+        op_ptr=np.zeros(1, dtype=i32),
+        finished=np.zeros(1, dtype=np.uint8),
+        posted=np.zeros(1, dtype=f64),
+        matched=np.full(1, -1, dtype=i32),
+        pending_wait=np.zeros(1, dtype=f64),
+        parked_src=np.full(1, -1, dtype=i32),
+        parked_round=np.full(1, -1, dtype=i32),
+        completed=np.zeros(0, dtype=np.uint8),
+        waiter=empty_i,
+        m_recv_wait=np.zeros(1, dtype=f64),
+        m_recv_wait_ct=np.zeros(1, dtype=np.int64),
+        m_link_wait=np.zeros(1, dtype=f64),
+        m_copy=np.zeros(1, dtype=f64),
+        m_iter_last=np.full(1, -1.0, dtype=f64),
     )
+    elapsed = kernel(*[args[name] for name in KERNEL_ARGS])
     if elapsed != 0.0:  # pragma: no cover - sanity net
         raise RuntimeError(f"kernel smoke check returned {elapsed!r}, expected 0.0")
 

@@ -118,6 +118,8 @@ class FastPlan:
     #: Lazily built plain-list views of the arrays (the pure-Python
     #: kernel's containers); see :meth:`list_views`.
     _lists: Dict[str, list] = field(default_factory=dict, repr=False)
+    #: Cache slot for :func:`repro.fastpath.evaluator.plan_counters`.
+    _counters: Any = field(default=None, repr=False)
 
     def list_views(self) -> Dict[str, list]:
         """Plain-list views of every kernel-facing array, built once.
@@ -134,7 +136,6 @@ class FastPlan:
                     "send_src",
                     "send_dst",
                     "send_round",
-                    "send_nbytes",
                     "send_ovh",
                     "recv_total",
                     "recv_copy",
