@@ -7,18 +7,20 @@ the seed draws a new random virtual→physical mapping — production
 scheduling — so :func:`measure_problem` runs several seeds and averages
 the best, mirroring the paper's methodology.
 
-Since PR 1 every measurement routes through a
+Every measurement routes through a
 :class:`~repro.sweep.executor.SweepExecutor`: figures batch their whole
-grid into one :func:`measure_batch` / :func:`measure_grid` call, the
-executor fans the points out over worker processes (``--jobs`` /
-``$REPRO_SWEEP_JOBS``) and memoizes results in the on-disk cache.  The
-default executor is serial and uncached, so library behaviour without
-explicit configuration is byte-identical to the original serial loop.
+grid into one :func:`measure_batch` / :func:`measure_grid` /
+:func:`run_batch` call, the executor fans the points out over worker
+processes (``--jobs`` / ``$REPRO_SWEEP_JOBS``) and memoizes results in
+the on-disk cache.  The default executor is serial and uncached, so
+library behaviour without explicit configuration is byte-identical to
+the original serial loop.
 
-Problems whose machine has no canonical spec (custom parameters — the
-ablations) and algorithm *instances* (rather than registry names) cannot
-be shipped to worker processes; they transparently fall back to direct
-in-process evaluation.
+An item is a problem and a registered algorithm *name*; its machine
+must have a canonical spec (every factory machine has one, parameter
+overrides included — see :mod:`repro.machines.spec`).  An item that
+cannot become a :class:`~repro.sweep.spec.SweepPoint` raises
+:class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.core.algorithms.base import BroadcastAlgorithm
 from repro.core.problem import BroadcastProblem
-from repro.core.runner import BroadcastResult, run_broadcast
+from repro.core.runner import BroadcastResult
 from repro.distributions.base import SourceDistribution
+from repro.errors import ConfigurationError
 from repro.machines.machine import Machine
 from repro.sweep.executor import SweepExecutor
 from repro.sweep.spec import SweepPoint
@@ -38,6 +40,7 @@ __all__ = [
     "measure_problem",
     "measure_batch",
     "measure_grid",
+    "measure_curves",
     "run_batch",
     "sweep",
     "active_executor",
@@ -51,9 +54,10 @@ T3D_SEEDS = (0, 1, 2, 3, 4)
 #: How many of the best runs are averaged (paper: "four best runs").
 T3D_BEST = 4
 
-Algorithm = Union[str, BroadcastAlgorithm]
 #: One measurement request: a problem and the algorithm to time on it.
-MeasureItem = Tuple[BroadcastProblem, Algorithm]
+MeasureItem = Tuple[BroadcastProblem, str]
+#: One contention flag for a whole batch, or one per item.
+Contention = Union[bool, Sequence[bool]]
 
 #: Executor installed by :func:`use_executor`; ``None`` means "build a
 #: fresh default" (serial unless ``$REPRO_SWEEP_JOBS`` says otherwise,
@@ -98,67 +102,64 @@ def _aggregate_ms(times_ms: List[float]) -> float:
     return sum(best) / len(best)
 
 
-def _measure_direct(
-    problem: BroadcastProblem, algorithm: Algorithm, contention: bool
-) -> float:
-    """In-process fallback for problems the executor cannot ship."""
-    times = [
-        run_broadcast(
-            problem, algorithm, seed=seed, contention=contention
-        ).elapsed_ms
-        for seed in _seeds_for(problem.machine)
-    ]
-    return _aggregate_ms(times)
+def _point(
+    problem: BroadcastProblem, algorithm: str, seed: int, contention: bool
+) -> SweepPoint:
+    """The sweep point of one measurement item at one seed."""
+    if not isinstance(algorithm, str) or problem.machine.spec is None:
+        raise ConfigurationError(
+            f"cannot measure {algorithm!r} on {problem.machine!r} "
+            f"(s={len(problem.sources)}, L={problem.message_size}): a "
+            "measurement needs a registered algorithm name and a machine "
+            "with a canonical spec"
+        )
+    return SweepPoint.from_problem(
+        problem, algorithm, seed=seed, contention=contention
+    )
+
+
+def _flags(items: Sequence[MeasureItem], contention: Contention) -> List[bool]:
+    if isinstance(contention, bool):
+        return [contention] * len(items)
+    flags = list(contention)
+    if len(flags) != len(items):
+        raise ConfigurationError(
+            f"{len(flags)} contention flags for {len(items)} items"
+        )
+    return flags
 
 
 def measure_batch(
-    items: Sequence[MeasureItem], *, contention: bool = True
+    items: Sequence[MeasureItem], *, contention: Contention = True
 ) -> List[float]:
     """Completion times in milliseconds for a whole grid of measurements.
 
-    The workhorse of every figure: all sweep-able items expand into
-    per-seed :class:`~repro.sweep.spec.SweepPoint`\\ s and go through the
-    active executor in **one** batch — maximum fan-out, one cache pass —
-    then collapse back to the paper's best-seeds average per item.
+    The workhorse of every figure: all items expand into per-seed
+    :class:`~repro.sweep.spec.SweepPoint`\\ s and go through the active
+    executor in **one** batch — maximum fan-out, one cache pass — then
+    collapse back to the paper's best-seeds average per item.
+    ``contention`` is one flag for every item or one flag per item.
     Returns one value per item, in order.
     """
     points: List[SweepPoint] = []
-    # Per item: (start, count) into ``points``, or None = direct fallback.
-    plan: List[Optional[Tuple[int, int]]] = []
-    for problem, algorithm in items:
-        if problem.machine.spec is not None and isinstance(algorithm, str):
-            seeds = _seeds_for(problem.machine)
-            plan.append((len(points), len(seeds)))
-            points.extend(
-                SweepPoint.from_problem(
-                    problem, algorithm, seed=seed, contention=contention
-                )
-                for seed in seeds
-            )
-        else:
-            plan.append(None)
+    counts: List[int] = []
+    for (problem, algorithm), flag in zip(items, _flags(items, contention)):
+        seeds = _seeds_for(problem.machine)
+        counts.append(len(seeds))
+        points.extend(_point(problem, algorithm, seed, flag) for seed in seeds)
 
-    results: List[BroadcastResult] = (
-        active_executor().run(points) if points else []
-    )
-
+    times = [r.elapsed_ms for r in active_executor().run(points)] if points else []
     out: List[float] = []
-    for (problem, algorithm), entry in zip(items, plan):
-        if entry is None:
-            out.append(_measure_direct(problem, algorithm, contention))
-        else:
-            start, count = entry
-            out.append(
-                _aggregate_ms(
-                    [r.elapsed_ms for r in results[start : start + count]]
-                )
-            )
+    start = 0
+    for count in counts:
+        out.append(_aggregate_ms(times[start : start + count]))
+        start += count
     return out
 
 
 def measure_grid(
     problems: Sequence[BroadcastProblem],
-    algorithms: Sequence[Algorithm],
+    algorithms: Sequence[str],
     *,
     contention: bool = True,
 ) -> Dict[str, List[float]]:
@@ -172,11 +173,32 @@ def measure_grid(
         [(problem, algorithm) for problem in problems for algorithm in algorithms],
         contention=contention,
     )
-    curves: Dict[str, List[float]] = {_name(a): [] for a in algorithms}
+    curves: Dict[str, List[float]] = {a: [] for a in algorithms}
     it = iter(times)
     for _problem in problems:
         for algorithm in algorithms:
-            curves[_name(algorithm)].append(next(it))
+            curves[algorithm].append(next(it))
+    return curves
+
+
+def measure_curves(
+    entries: Sequence[Tuple[str, BroadcastProblem, str]],
+    *,
+    contention: Contention = True,
+) -> Dict[str, List[float]]:
+    """Labeled curves, measured in one :func:`measure_batch` call.
+
+    Each ``(label, problem, algorithm)`` entry appends its time to the
+    curve ``label``; curves keep the order their labels first appear
+    in.  ``contention`` is one flag or one per entry.
+    """
+    times = measure_batch(
+        [(problem, algorithm) for _label, problem, algorithm in entries],
+        contention=contention,
+    )
+    curves: Dict[str, List[float]] = {}
+    for (label, _problem, _algorithm), value in zip(entries, times):
+        curves.setdefault(label, []).append(value)
     return curves
 
 
@@ -189,33 +211,17 @@ def run_batch(
     """Full :class:`BroadcastResult`\\ s (metrics included) for a grid.
 
     Single-seed semantics — the metric-table experiments (Figure 2) want
-    counters from one deterministic run, not a seed average.  Items the
-    executor cannot ship are evaluated directly.
+    counters from one deterministic run, not a seed average.
     """
-    points: List[SweepPoint] = []
-    slots: List[Optional[int]] = []
-    for problem, algorithm in items:
-        if problem.machine.spec is not None and isinstance(algorithm, str):
-            slots.append(len(points))
-            points.append(
-                SweepPoint.from_problem(
-                    problem, algorithm, seed=seed, contention=contention
-                )
-            )
-        else:
-            slots.append(None)
-    results = active_executor().run(points) if points else []
-    return [
-        results[slot]
-        if slot is not None
-        else run_broadcast(problem, algorithm, seed=seed, contention=contention)
-        for (problem, algorithm), slot in zip(items, slots)
+    points = [
+        _point(problem, algorithm, seed, contention) for problem, algorithm in items
     ]
+    return active_executor().run(points) if points else []
 
 
 def measure_problem(
     problem: BroadcastProblem,
-    algorithm: Algorithm,
+    algorithm: str,
     *,
     contention: bool = True,
 ) -> float:
@@ -225,7 +231,7 @@ def measure_problem(
 
 def sweep(
     machine: Machine,
-    algorithms: Sequence[Algorithm],
+    algorithms: Sequence[str],
     distribution: SourceDistribution,
     s_values: Iterable[int],
     message_size: int,
@@ -248,6 +254,3 @@ def sweep(
         )
     return measure_grid(problems, algorithms, contention=contention)
 
-
-def _name(algorithm: Algorithm) -> str:
-    return algorithm if isinstance(algorithm, str) else algorithm.name

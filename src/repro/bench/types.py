@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 __all__ = ["Series", "Check", "FigureResult"]
 
@@ -75,6 +75,10 @@ class FigureResult:
     series: List[Series] = field(default_factory=list)
     checks: List[Check] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
+    #: ASCII link heatmap of the experiment's representative point, for
+    #: its report page (``None``: no such point).  Not part of
+    #: :meth:`report` and not compared.
+    link_heatmap: Optional[str] = field(default=None, compare=False)
 
     @property
     def all_passed(self) -> bool:

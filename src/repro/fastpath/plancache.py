@@ -26,9 +26,11 @@ its portfolio member by size), and the lowering itself probes
 reusability per plan (:attr:`FastPlan.size_reusable`).
 Either guard failing keys the entry by the full size signature instead.
 
-Machines without a canonical spec (ad-hoc topologies, overridden
-parameters) bypass the cache entirely — there is no stable identity to
-key on.
+Machines without a canonical spec (hand-built topologies or parameter
+sets) bypass the cache entirely — there is no stable identity to key
+on.  Factory machines with parameter overrides have one
+(``t3d:128+t_mem_byte=0.0``, see :mod:`repro.machines.spec`) and are
+cached like any other.
 
 The cache is engine-invisible: hits, misses and bypasses produce
 bit-identical results (the differential tests replay warm-cache points

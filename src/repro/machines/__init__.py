@@ -24,8 +24,9 @@ from repro.errors import ConfigurationError
 from repro.machines.hypercube_machine import hypercube
 from repro.machines.machine import Machine, RunResult
 from repro.machines.params import MachineParams
-from repro.machines.paragon import paragon
-from repro.machines.t3d import t3d
+from repro.machines.paragon import PARAGON_PARAMS, paragon
+from repro.machines.spec import parse_spec
+from repro.machines.t3d import T3D_PARAMS, t3d
 
 __all__ = [
     "Machine",
@@ -42,11 +43,14 @@ __all__ = [
 def machine_from_spec(spec: str) -> Machine:
     """Rebuild a factory machine from its canonical spec string.
 
-    Accepts ``paragon:RxC``, ``t3d:P`` and ``hypercube:P`` — exactly the
-    strings stored in :attr:`Machine.spec` — and returns the machine
-    with its default calibrated parameters.  This is the inverse the
-    sweep executor relies on to reconstruct problems inside worker
-    processes and to key the on-disk result cache.
+    Accepts ``paragon:RxC``, ``t3d:P`` and ``hypercube:P``, each
+    optionally followed by ``+key=value`` clauses that override a
+    :class:`MachineParams` field or the T3D's rank ``mapping`` (grammar
+    in :mod:`repro.machines.spec`) — exactly the strings stored in
+    :attr:`Machine.spec`.  This is the inverse the sweep executor relies
+    on to reconstruct problems inside worker processes and to key the
+    on-disk result cache.  Unknown settings and badly typed values raise
+    :class:`~repro.errors.ConfigurationError`.
 
     Memoized: a factory machine is an immutable configuration (frozen
     params, finalized topology; every :meth:`Machine.run` builds a fresh
@@ -54,18 +58,28 @@ def machine_from_spec(spec: str) -> Machine:
     share a single instance — and with it the topology's warm route
     cache — instead of rebuilding the interconnect per point.
     """
-    kind, _, size = spec.partition(":")
+    base, overrides, mapping = parse_spec(spec)
+    kind, _, size = base.partition(":")
+    if mapping is not None and kind != "t3d":
+        raise ConfigurationError(
+            f"machine spec {spec!r}: only the T3D has a mapping setting"
+        )
     try:
         if kind == "paragon":
             rows, sep, cols = size.partition("x")
             if sep:
-                return paragon(int(rows), int(cols))
+                return paragon(
+                    int(rows), int(cols), PARAGON_PARAMS.with_overrides(**overrides)
+                )
         elif kind == "t3d" and size:
-            return t3d(int(size))
+            return t3d(
+                int(size), T3D_PARAMS.with_overrides(**overrides), mapping or "random"
+            )
         elif kind == "hypercube" and size:
-            return hypercube(int(size))
+            return hypercube(int(size), PARAGON_PARAMS.with_overrides(**overrides))
     except ValueError:
         pass
     raise ConfigurationError(
-        f"unknown machine spec {spec!r}; use paragon:RxC, t3d:P, hypercube:P"
+        f"unknown machine spec {spec!r}; use paragon:RxC, t3d:P or "
+        "hypercube:P, optionally followed by +key=value overrides"
     )

@@ -15,6 +15,7 @@ from repro.errors import ConfigurationError
 from repro.machines.machine import Machine
 from repro.machines.paragon import PARAGON_PARAMS
 from repro.machines.params import MachineParams
+from repro.machines.spec import machine_spec
 from repro.network.hypercube import Hypercube
 
 __all__ = ["hypercube"]
@@ -31,5 +32,5 @@ def hypercube(p: int, params: MachineParams = PARAGON_PARAMS) -> Machine:
         params,
         mapping_factory=None,  # identity: ranks are cube addresses
         kind="hypercube",
-        spec=f"hypercube:{p}" if params is PARAGON_PARAMS else None,
+        spec=machine_spec(f"hypercube:{p}", params, PARAGON_PARAMS),
     )

@@ -75,11 +75,12 @@ class Machine:
         used by algorithms to check applicability.
     spec:
         Canonical factory spec string (``"paragon:10x10"``, ``"t3d:128"``,
-        ``"hypercube:32"``) when the machine is reconstructible from it —
-        i.e. factory-built with the default calibrated parameters.
-        ``None`` for ad-hoc machines (custom params, test topologies);
-        such machines cannot be shipped to sweep worker processes or
-        cached, and are evaluated in-process instead.
+        ``"t3d:128+t_mem_byte=0.0"``, see :mod:`repro.machines.spec`)
+        when the machine is reconstructible from it — i.e. built by a
+        machine factory, with or without parameter overrides.  ``None``
+        for ad-hoc machines (hand-built topologies or parameter sets);
+        such machines cannot become sweep points, so they are neither
+        shipped to worker processes nor cached.
     """
 
     def __init__(

@@ -23,6 +23,7 @@ from __future__ import annotations
 from repro.errors import ConfigurationError
 from repro.machines.machine import Machine
 from repro.machines.params import MachineParams
+from repro.machines.spec import machine_spec
 from repro.network.mesh import Mesh2D
 
 __all__ = ["paragon", "PARAGON_PARAMS"]
@@ -57,5 +58,5 @@ def paragon(
         params,
         mapping_factory=None,  # identity
         kind="paragon",
-        spec=f"paragon:{rows}x{cols}" if params is PARAGON_PARAMS else None,
+        spec=machine_spec(f"paragon:{rows}x{cols}", params, PARAGON_PARAMS),
     )

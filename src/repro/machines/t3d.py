@@ -24,7 +24,7 @@ from __future__ import annotations
 from repro.errors import ConfigurationError
 from repro.machines.machine import Machine
 from repro.machines.params import MachineParams
-from repro.network.mapping import RandomMapping
+from repro.machines.spec import machine_spec, mapping_factory
 from repro.network.torus import Torus3D
 
 __all__ = ["t3d", "T3D_PARAMS"]
@@ -46,13 +46,16 @@ T3D_PARAMS = MachineParams(
 )
 
 
-def t3d(p: int, params: MachineParams = T3D_PARAMS) -> Machine:
+def t3d(
+    p: int, params: MachineParams = T3D_PARAMS, mapping: str = "random"
+) -> Machine:
     """A T3D partition of ``p`` virtual processors (``p`` a power of 2).
 
     The torus dimensions are the near-cubic power-of-two factorisation
     (:meth:`~repro.network.torus.Torus3D.dims_for`); the rank→node
     mapping is a random permutation drawn from the run seed, mirroring
-    production scheduling.
+    production scheduling (``mapping="identity"`` places ranks in node
+    order instead, for the mapping ablation).
     """
     if p <= 0:
         raise ConfigurationError(f"invalid T3D size {p}")
@@ -60,7 +63,10 @@ def t3d(p: int, params: MachineParams = T3D_PARAMS) -> Machine:
     return Machine(
         Torus3D(nx, ny, nz),
         params,
-        mapping_factory=lambda topo, seed: RandomMapping(topo, seed=seed),
+        mapping_factory=mapping_factory(mapping),
         kind="t3d",
-        spec=f"t3d:{p}" if params is T3D_PARAMS else None,
+        spec=machine_spec(
+            f"t3d:{p}", params, T3D_PARAMS,
+            mapping=None if mapping == "random" else mapping,
+        ),
     )

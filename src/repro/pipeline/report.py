@@ -1,10 +1,12 @@
 """Self-contained HTML reports for the experiment pipeline.
 
 One :func:`render_experiment_html` page per experiment — SVG line
-charts, the aligned text tables, shape-check badges, an obs
-link-heatmap for a representative point, and the exact CLI commands
-that reproduce the page (including a Chrome-trace export) — plus a
-:func:`render_index_html` landing page over all experiments.
+charts, the aligned text tables, shape-check badges, the obs
+link-heatmap the runner measured for a representative point, and the
+exact CLI commands that reproduce the page (including a Chrome-trace
+export) — plus a :func:`render_index_html` landing page over all
+experiments.  Rendering only formats a measured
+:class:`~repro.bench.types.FigureResult`; it never simulates.
 
 Pages are *self-contained by construction*: one inline ``<style>``
 block, inline SVG, no ``<script>`` at all, and no external URL in any
@@ -30,9 +32,10 @@ from __future__ import annotations
 
 import html as _html
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.bench.types import FigureResult, Series
+from repro.pipeline.runner import representative_point
 
 __all__ = [
     "render_experiment_html",
@@ -302,110 +305,6 @@ def _legend(names: Sequence[str]) -> str:
     return f'<p class="legend">{items}</p>'
 
 
-def representative_point(config) -> Optional[Dict[str, object]]:
-    """One concrete (machine, dist, s, L, algorithm) of an experiment.
-
-    Used for the report's link-heatmap and its Chrome-trace recipe;
-    returns ``None`` for builder configs and for series whose cells use
-    a searched placement (the trace CLI addresses distributions only).
-    """
-    if config is None or config.kind != "declarative":
-        return None
-
-    def _scalar(value, index=0):
-        from repro.pipeline.schema import Dual
-
-        if isinstance(value, Dual):
-            value = value.get(False)
-        if isinstance(value, (list, tuple)):
-            return value[index] if value else None
-        return value
-
-    for series in config.series:
-        machine = dist = s = size = algorithm = None
-        if series.kind == "sweep":
-            machine = series.machine
-            dist = series.distribution
-            svals = series.s_values.get(False)
-            s = svals[len(svals) // 2]
-            size = (
-                max(series.total_bytes // s, 1)
-                if series.total_bytes is not None
-                else series.message_size
-            )
-        elif series.kind == "cells":
-            if series.placement is not None:
-                continue
-            from repro.pipeline.runner import _cells_for
-
-            cell = _cells_for(series, False)[1][0]
-            if cell.placement is not None:
-                continue
-            machine = cell.machine or series.machine
-            dist = cell.dist or series.distribution
-            s = cell.s if cell.s is not None else series.s
-            size = cell.L if cell.L is not None else series.message_size
-        elif series.kind == "dist_curves":
-            machine = _scalar(series.machine)
-            dist = series.distributions[0]
-            xs = series.x_values.get(False)
-            s = _scalar(series.s)
-            if s is None:
-                s = xs[0]
-            size = _scalar(series.message_size)
-        elif series.kind == "machines_by_s":
-            machine = _scalar(series.machines)
-            dist = series.distribution
-            s = _scalar(series.s_values)
-            size = series.message_size
-        elif series.kind == "percent_gain":
-            machine = series.machine
-            dist = series.distributions[0]
-            xs = series.x_values.get(False)
-            mid = xs[len(xs) // 2]
-            s = mid if series.axis == "s" else series.s
-            size = mid if series.axis == "L" else series.message_size
-        algorithm = (
-            (series.algorithms[0] if series.algorithms else None)
-            or series.algorithm
-            or series.variant
-        )
-        if None not in (machine, dist, s, size, algorithm):
-            return {
-                "machine": machine,
-                "dist": dist,
-                "s": int(s),
-                "L": int(size),
-                "algorithm": algorithm,
-            }
-    return None
-
-
-def _link_heatmap(point: Dict[str, object]) -> Optional[str]:
-    """ASCII link heatmap for the representative point (event engine)."""
-    import repro
-    from repro.machines import machine_from_spec
-    from repro.obs import link_usage, render_link_heatmap
-    from repro.simulator.trace import Tracer
-
-    try:
-        machine = machine_from_spec(str(point["machine"]))
-        sources = repro.get_distribution(str(point["dist"])).generate(
-            machine, int(point["s"])
-        )
-        problem = repro.BroadcastProblem(
-            machine, sources, message_size=int(point["L"])
-        )
-        tracer = Tracer(kinds=("xfer",))
-        repro.run_broadcast(
-            problem, str(point["algorithm"]), seed=0, tracer=tracer
-        )
-        usage = link_usage(tracer.records, topology=machine.topology)
-        return render_link_heatmap(usage, topology=machine.topology, k=10)
-    except Exception:  # pragma: no cover - heatmap is best-effort garnish
-        return None
-
-
 def _reproduce_block(config, result: FigureResult) -> str:
     """The commands that rebuild this page and its trace artifacts."""
     name = config.id if config is not None else result.figure
@@ -442,7 +341,12 @@ def _page(title: str, body: str) -> str:
 def render_experiment_html(
     config, result: FigureResult, *, quick: bool = False
 ) -> str:
-    """The complete report page for one experiment's measured result."""
+    """The complete report page for one experiment's measured result.
+
+    Pure formatting: the link heatmap is the one
+    :func:`~repro.pipeline.runner.run_experiment` measured into
+    ``result.link_heatmap``; nothing here simulates.
+    """
     passed = sum(1 for c in result.checks if c.passed)
     total = len(result.checks)
     check_cls = "pass" if passed == total else "fail"
@@ -494,17 +398,15 @@ def render_experiment_html(
         for note in result.notes:
             parts.append(f"<pre>{_esc(note)}</pre>")
     point = representative_point(config)
-    if point is not None:
-        heatmap = _link_heatmap(point)
-        if heatmap:
-            parts.append("<h2>Link utilization (representative point)</h2>")
-            parts.append(
-                f'<p class="sub">{_esc(point["algorithm"])} on '
-                f'{_esc(point["machine"])}, {_esc(point["dist"])} '
-                f"distribution, s = {point['s']}, L = {point['L']} B "
-                "(event-engine trace)</p>"
-            )
-            parts.append(f"<pre>{_esc(heatmap)}</pre>")
+    if point is not None and result.link_heatmap:
+        parts.append("<h2>Link utilization (representative point)</h2>")
+        parts.append(
+            f'<p class="sub">{_esc(point["algorithm"])} on '
+            f'{_esc(point["machine"])}, {_esc(point["dist"])} '
+            f"distribution, s = {point['s']}, L = {point['L']} B "
+            "(event-engine trace)</p>"
+        )
+        parts.append(f"<pre>{_esc(result.link_heatmap)}</pre>")
     parts.append("<h2>Reproduce</h2>")
     parts.append(_reproduce_block(config, result))
     return _page(f"{result.figure} — {result.description}", "\n".join(parts))

@@ -27,19 +27,24 @@ The five series kinds and the figure loops they mirror:
 from __future__ import annotations
 
 import importlib
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.runner import MeasureItem, _seeds_for, measure_batch
+from repro.bench.runner import (
+    MeasureItem,
+    _seeds_for,
+    active_executor,
+    measure_batch,
+)
 from repro.bench.types import FigureResult, Series
 from repro.core.problem import BroadcastProblem
 from repro.distributions import DISTRIBUTIONS
 from repro.errors import ConfigurationError
 from repro.machines import machine_from_spec
 from repro.pipeline.checks import evaluate_check
-from repro.pipeline.schema import CellSpec, ExperimentConfig, SeriesSpec
+from repro.pipeline.schema import CellSpec, Dual, ExperimentConfig, SeriesSpec
 from repro.sweep.spec import SweepPoint
 
-__all__ = ["run_experiment", "experiment_points"]
+__all__ = ["run_experiment", "experiment_points", "representative_point"]
 
 #: times → curves, in the grid order the items were emitted.
 Collate = Callable[[List[float]], Dict[str, List[float]]]
@@ -263,6 +268,95 @@ def _measure_series(spec: SeriesSpec, quick: bool) -> Series:
     )
 
 
+def representative_point(config) -> Optional[Dict[str, object]]:
+    """One concrete (machine, dist, s, L, algorithm) of an experiment.
+
+    Used for the report's link heatmap (measured by
+    :func:`run_experiment`) and its Chrome-trace recipe;
+    returns ``None`` for builder configs and for series whose cells use
+    a searched placement (the trace CLI addresses distributions only).
+    """
+    if config is None or config.kind != "declarative":
+        return None
+
+    def _scalar(value, index=0):
+        if isinstance(value, Dual):
+            value = value.get(False)
+        if isinstance(value, (list, tuple)):
+            return value[index] if value else None
+        return value
+
+    for series in config.series:
+        machine = dist = s = size = algorithm = None
+        if series.kind == "sweep":
+            machine = series.machine
+            dist = series.distribution
+            svals = series.s_values.get(False)
+            s = svals[len(svals) // 2]
+            size = (
+                max(series.total_bytes // s, 1)
+                if series.total_bytes is not None
+                else series.message_size
+            )
+        elif series.kind == "cells":
+            if series.placement is not None:
+                continue
+            cell = _cells_for(series, False)[1][0]
+            if cell.placement is not None:
+                continue
+            machine = cell.machine or series.machine
+            dist = cell.dist or series.distribution
+            s = cell.s if cell.s is not None else series.s
+            size = cell.L if cell.L is not None else series.message_size
+        elif series.kind == "dist_curves":
+            machine = _scalar(series.machine)
+            dist = series.distributions[0]
+            xs = series.x_values.get(False)
+            s = _scalar(series.s)
+            if s is None:
+                s = xs[0]
+            size = _scalar(series.message_size)
+        elif series.kind == "machines_by_s":
+            machine = _scalar(series.machines)
+            dist = series.distribution
+            s = _scalar(series.s_values)
+            size = series.message_size
+        elif series.kind == "percent_gain":
+            machine = series.machine
+            dist = series.distributions[0]
+            xs = series.x_values.get(False)
+            mid = xs[len(xs) // 2]
+            s = mid if series.axis == "s" else series.s
+            size = mid if series.axis == "L" else series.message_size
+        algorithm = (
+            (series.algorithms[0] if series.algorithms else None)
+            or series.algorithm
+            or series.variant
+        )
+        if None not in (machine, dist, s, size, algorithm):
+            return {
+                "machine": machine,
+                "dist": dist,
+                "s": int(s),
+                "L": int(size),
+                "algorithm": algorithm,
+            }
+    return None
+
+
+def _link_heatmap(point: Dict[str, object]) -> str:
+    """ASCII link heatmap of a representative point (event-engine trace).
+
+    Served by the active executor from the point's cached observation
+    sibling, or traced and stored there when it is missing.
+    """
+    machine = machine_from_spec(str(point["machine"]))
+    sources = DISTRIBUTIONS[str(point["dist"])].generate(machine, int(point["s"]))
+    problem = BroadcastProblem(machine, sources, message_size=int(point["L"]))
+    sweep_point = SweepPoint.from_problem(problem, str(point["algorithm"]))
+    return active_executor().observation(sweep_point)["heatmap"]
+
+
 def run_experiment(
     config: ExperimentConfig, quick: bool = False
 ) -> FigureResult:
@@ -273,7 +367,11 @@ def run_experiment(
     cache and the engine selection all apply via the installed
     :class:`~repro.sweep.executor.SweepExecutor`); ``builder`` configs
     dispatch to the named figure function.  Either way the return value
-    is the familiar :class:`~repro.bench.types.FigureResult`.
+    is the familiar :class:`~repro.bench.types.FigureResult`; a
+    declarative one also carries the link heatmap of its
+    :func:`representative_point`, measured here — while the caller's
+    executor (and its cache) is installed — so rendering the page later
+    only formats.
     """
     if config.kind == "builder":
         module_name, _, attr = config.builder.partition(":")
@@ -286,6 +384,11 @@ def run_experiment(
             ) from exc
         return builder(quick)
     result = FigureResult(config.title, config.description)
+    # The heatmap's traced run goes first: its records are freed before
+    # the grid builds its plans, so they do not add to the peak memory.
+    point = representative_point(config)
+    if point is not None:
+        result.link_heatmap = _link_heatmap(point)
     for spec in config.series:
         result.series.append(_measure_series(spec, quick))
     where = config.path or config.id

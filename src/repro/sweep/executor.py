@@ -175,13 +175,17 @@ def evaluate_point_observed(
     """Like :func:`evaluate_point`, plus an observation summary.
 
     The run is traced with a full :class:`~repro.simulator.trace.Tracer`
-    and digested through :func:`repro.obs.summary.summarize_trace`.
-    Trace records never influence simulated time, so the result dict is
-    byte-identical to :func:`evaluate_point`'s — which is what lets an
-    observed sweep share cache entries with an unobserved one (the
-    differential tests pin this).
+    and digested through :func:`repro.obs.summary.summarize_trace`, plus
+    the ASCII heatmap of its ten busiest links
+    (:func:`repro.obs.linkstats.render_link_heatmap`) that report pages
+    show.  Trace records never influence simulated time, so the result
+    dict is byte-identical to :func:`evaluate_point`'s — which is what
+    lets an observed sweep share cache entries with an unobserved one
+    (the differential tests pin this).
     """
-    from repro.obs.summary import summarize_trace  # local: keep workers lean
+    # Local imports: keep workers lean.
+    from repro.obs.linkstats import link_usage, render_link_heatmap
+    from repro.obs.summary import summarize_trace
 
     point = SweepPoint.from_payload(payload)
     start = time.perf_counter()
@@ -197,11 +201,17 @@ def evaluate_point_observed(
         tracer=tracer,
     )
     seconds = time.perf_counter() - start
+    topology = problem.machine.topology
     observation = {
         "algorithm": point.algorithm,
         "distribution": point.distribution,
         "machine": point.machine,
-        "summary": summarize_trace(tracer, topology=problem.machine.topology),
+        "summary": summarize_trace(tracer, topology=topology),
+        "heatmap": render_link_heatmap(
+            link_usage(tracer.records, topology=topology),
+            topology=topology,
+            k=10,
+        ),
     }
     return result.to_dict(), seconds, observation
 
@@ -364,6 +374,26 @@ class SweepExecutor:
             self.session_observations.extend(observations)
         self.session.merge(report)
         return [BroadcastResult.from_dict(d) for d in result_dicts]
+
+    def observation(self, point: SweepPoint) -> Dict[str, Any]:
+        """The observation of one point: its cached sibling, or a fresh trace.
+
+        The entry point for traced artifacts outside a sweep (report
+        pages take their link heatmaps from it).  A cached
+        ``<key>.obs.json`` in the current format (it has the ``heatmap``
+        field) is served as is; otherwise the point is traced in-process
+        through :func:`evaluate_point_observed` and, with a cache, the
+        sibling is (re)written.  The result entry is neither read nor
+        written, and the constructor's ``observe`` flag does not apply.
+        """
+        if self.cache is not None:
+            cached = self.cache.load_observation(point)
+            if cached is not None and "heatmap" in cached:
+                return cached
+        _result, _seconds, observation = evaluate_point_observed(point.payload())
+        if self.cache is not None:
+            self.cache.store_observation(point, observation)
+        return observation
 
     def _record(
         self,

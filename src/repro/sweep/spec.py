@@ -40,7 +40,8 @@ SEMANTICS = "0a1ccea58f6fadc2cf75e6143c1be1b524e8c09029012188f0bdeac9e2cfce36"
 class SweepPoint:
     """One fully specified broadcast run, as plain picklable data.
 
-    ``machine`` is a canonical factory spec (``"paragon:10x10"``, ...);
+    ``machine`` is a canonical factory spec (``"paragon:10x10"``,
+    ``"t3d:128+t_mem_byte=0.0"``, ...; see :mod:`repro.machines.spec`);
     ``sources`` are explicit ranks, so the point stays valid even for
     placements no registered distribution generates (ideal rows,
     repositioned targets).  ``sizes`` optionally carries the per-source
@@ -98,15 +99,16 @@ class SweepPoint:
         Raises
         ------
         ConfigurationError
-            If the problem's machine has no canonical spec (ad-hoc
-            topology or overridden parameters) — such runs must stay
-            in-process because a worker could not reconstruct them.
+            If the problem's machine has no canonical spec (a hand-built
+            topology or parameter set) — a worker could not reconstruct
+            it, so it cannot become a point.
         """
         spec = problem.machine.spec
         if spec is None:
             raise ConfigurationError(
-                "sweep points require a factory-built machine with default "
-                f"parameters; {problem.machine!r} has no canonical spec"
+                "sweep points require a factory-built machine (one with a "
+                "canonical spec, see repro.machines.spec); "
+                f"{problem.machine!r} has none"
             )
         sizes: Optional[Tuple[Tuple[int, int], ...]] = None
         if problem.sizes is not None:

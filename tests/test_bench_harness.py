@@ -8,6 +8,7 @@ from repro.bench.runner import measure_problem, sweep
 from repro.bench.types import Check, FigureResult, Series
 from repro.core.problem import BroadcastProblem
 from repro.distributions import DISTRIBUTIONS
+from repro.errors import ConfigurationError
 from repro.machines import t3d
 
 
@@ -139,14 +140,16 @@ class TestSweep:
         # spreading the same total must not blow up the time
         assert curves["Br_Lin"][1] < curves["Br_Lin"][0] * 2
 
-    def test_algorithm_instances_accepted(self, square_paragon):
+    def test_algorithm_instances_rejected(self, square_paragon):
+        # Measurements are sweep points, which name a registered
+        # algorithm; an instance cannot be shipped or cached.
         from repro.core.algorithms import BrLin
 
-        curves = sweep(
-            square_paragon,
-            [BrLin()],
-            DISTRIBUTIONS["E"],
-            [5],
-            message_size=256,
-        )
-        assert "Br_Lin" in curves
+        with pytest.raises(ConfigurationError, match="Br_Lin"):
+            sweep(
+                square_paragon,
+                [BrLin()],
+                DISTRIBUTIONS["E"],
+                [5],
+                message_size=256,
+            )

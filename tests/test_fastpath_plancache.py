@@ -21,8 +21,9 @@ from repro.core.problem import BroadcastProblem
 from repro.core.runner import run_broadcast
 from repro.fastpath import lower_schedule, plan_cache
 from repro.fastpath import plancache
-from repro.machines import machine_from_spec, paragon
+from repro.machines import Machine, machine_from_spec, paragon
 from repro.machines.paragon import PARAGON_PARAMS
+from repro.network.mesh import Mesh2D
 
 
 @pytest.fixture(autouse=True)
@@ -116,7 +117,7 @@ def test_adhoc_machine_bypasses_cache():
     """Machines without a canonical spec cannot key a cache entry; the
     run still replays through the kernel, uncached, and matches the
     event engine."""
-    machine = paragon(4, 4, params=PARAGON_PARAMS.with_overrides(t_byte=1.0))
+    machine = Machine(Mesh2D(4, 4), PARAGON_PARAMS.with_overrides(t_byte=1.0))
     assert machine.spec is None
     problem = BroadcastProblem(
         machine=machine, sources=(0, 5), message_size=512

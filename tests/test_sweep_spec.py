@@ -24,7 +24,9 @@ class TestMachineSpec:
         assert t3d(32).spec == "t3d:32"
 
     def test_custom_params_have_no_spec(self):
-        custom = PARAGON_PARAMS.with_overrides(t_byte=1.0)
+        # A parameter set that is not an override of the family's
+        # defaults (another name) cannot be rebuilt from a spec.
+        custom = PARAGON_PARAMS.with_overrides(name="custom", t_byte=1.0)
         assert paragon(4, 4, params=custom).spec is None
 
     def test_machine_from_spec_round_trip(self):
